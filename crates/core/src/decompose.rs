@@ -96,13 +96,6 @@ pub struct Decomposition {
 /// assigned" — the same reserved value the wire format uses.
 const NO_PATTERN: u16 = u16::MAX;
 
-impl Decomposition {
-    /// The sentinel value [`Decomposition::l1_row`] uses for an
-    /// unassigned tile (the hardware's reserved index, also the wire
-    /// format's).
-    pub const NO_PATTERN: u16 = NO_PATTERN;
-}
-
 /// Decomposes `activations` against calibrated `patterns`.
 ///
 /// # Panics
@@ -972,22 +965,6 @@ impl Decomposition {
         assert!(row < self.rows && part < self.num_partitions(), "index out of bounds");
         let raw = self.l1[row * self.num_partitions() + part];
         (raw != NO_PATTERN).then_some(raw)
-    }
-
-    /// The raw Level-1 index row of `row` — one `u16` per partition, in
-    /// partition order, with [`Decomposition::NO_PATTERN`] marking
-    /// unassigned tiles. This is the zero-cost per-row term view the
-    /// cross-row reuse planner ([`crate::pwp::ReusePlan`]) groups and
-    /// hashes rows by; [`Decomposition::l1_index`] is the decoded
-    /// single-tile accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of bounds.
-    pub fn l1_row(&self, row: usize) -> &[u16] {
-        assert!(row < self.rows, "row out of bounds");
-        let parts = self.num_partitions();
-        &self.l1[row * parts..(row + 1) * parts]
     }
 
     /// Full assignment record for `(row, part)`.

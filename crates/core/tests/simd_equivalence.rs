@@ -2,7 +2,9 @@
 //! [`phi_core::simd`] must be bit-identical to its scalar twin on random
 //! inputs — random widths, ragged tails (lengths straddling the 4- and
 //! 8-lane vector strides), tie-heavy pattern pools, and the full
-//! decompose → matmul pipeline at q ∈ {32, 128}.
+//! decompose → matmul pipeline at q ∈ {32, 128}. The pipeline suite also
+//! pins the parallel row sweep to the sequential one on duplicate- and
+//! subset-heavy batches.
 //!
 //! The dispatched side runs at whatever level the host (or `PHI_SIMD`)
 //! resolves to; on a scalar-only host these properties still hold
@@ -10,7 +12,7 @@
 //! dispatch plumbing itself is exercised everywhere.
 
 use phi_core::simd::{self, scalar, SimdLevel};
-use phi_core::{decompose, phi_matmul, CalibrationConfig, Calibrator, PwpTable};
+use phi_core::{decompose, par_phi_matmul, phi_matmul, CalibrationConfig, Calibrator, PwpTable};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -179,6 +181,31 @@ proptest! {
     }
 }
 
+/// A batch drawn from a few prototype rows: copied verbatim (duplicate
+/// rows), truncated to a prefix of their active columns (subset rows), or
+/// lightly perturbed (near-duplicates sharing Level-1 tiles with
+/// divergent Level-2 corrections) — the row mix fused serving batches
+/// carry.
+fn clustered_batch(rows: usize, cols: usize, seed: u64) -> SpikeMatrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let protos: Vec<Vec<bool>> =
+        (0..3).map(|_| (0..cols).map(|_| rng.gen_bool(0.25)).collect()).collect();
+    let picks: Vec<(usize, f64, usize)> = (0..rows)
+        .map(|_| (rng.gen_range(0..protos.len()), rng.gen::<f64>(), rng.gen_range(0..cols)))
+        .collect();
+    SpikeMatrix::from_fn(rows, cols, |r, c| {
+        let (p, kind, at) = picks[r];
+        let on = protos[p][c];
+        if kind < 0.4 {
+            on
+        } else if kind < 0.7 {
+            on && c < at
+        } else {
+            on ^ (c == at)
+        }
+    })
+}
+
 proptest! {
     // The pipeline cases run full calibrations; keep the case count low
     // like match_cache.rs does for its decompose properties.
@@ -216,6 +243,29 @@ proptest! {
         // Matrix == is exact f32 equality; no NaNs arise from finite
         // inputs under adds, so this pins the bits.
         prop_assert_eq!(auto.1, forced.1);
+    }
+
+    /// The parallel row sweep is bit-identical to the sequential one on
+    /// duplicate- and subset-heavy batches of 1–64 rows, at both paper
+    /// pattern budgets and at readout-like and odd output widths.
+    #[test]
+    fn par_matmul_matches_sequential_on_clustered_batches(
+        q in prop::sample::select(vec![32usize, 128]),
+        rows in 1usize..=64,
+        cols in prop::sample::select(vec![24usize, 48, 100]),
+        out_cols in prop::sample::select(vec![10usize, 33]),
+        seed in any::<u64>(),
+    ) {
+        let acts = clustered_batch(rows, cols, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
+        let weights = Matrix::random(cols, out_cols, &mut rng);
+        let patterns = Calibrator::new(CalibrationConfig { q, ..Default::default() })
+            .calibrate(&acts, &mut rng);
+        let d = decompose(&acts, &patterns);
+        let pwp = PwpTable::new(&patterns, &weights).expect("shapes match");
+        let seq = phi_matmul(&d, &pwp, &weights).expect("shapes match");
+        let par = par_phi_matmul(&d, &pwp, &weights).expect("shapes match");
+        prop_assert_eq!(seq, par);
     }
 }
 

@@ -37,7 +37,7 @@ use phi_accel::{
 };
 use phi_core::{
     decompose_cached, decompose_delta, decompose_delta_sparse, Decomposition, DeltaStats,
-    FrameMemo, ReuseStats, TileCache, TileCacheStats,
+    FrameMemo, TileCache, TileCacheStats,
 };
 use rayon::prelude::*;
 use snn_core::{Matrix, SpikeMatrix};
@@ -282,10 +282,6 @@ pub struct BatchExecutor<B = SimBackend> {
     caches: Arc<Vec<TileCache>>,
     /// Recycled word buffers for batch assembly ([`SpikeMatrix::vstack_into`]).
     scratch: Arc<Mutex<Vec<Vec<u64>>>>,
-    /// Cumulative cross-row reuse counters from every layer the backend
-    /// executed through a product-sparsity plan, shared across clones
-    /// like the tile caches.
-    reuse: Arc<Mutex<ReuseStats>>,
 }
 
 impl BatchExecutor<SimBackend> {
@@ -338,13 +334,7 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
     /// caches at [`default_tile_cache_capacity`].
     pub fn with_backend(model: Arc<CompiledModel>, backend: B) -> Self {
         let caches = build_caches(&model, default_tile_cache_capacity());
-        BatchExecutor {
-            model,
-            backend,
-            caches,
-            scratch: Arc::new(Mutex::new(Vec::new())),
-            reuse: Arc::new(Mutex::new(ReuseStats::default())),
-        }
+        BatchExecutor { model, backend, caches, scratch: Arc::new(Mutex::new(Vec::new())) }
     }
 
     /// Replaces the per-layer tile caches with fresh ones of `capacity`
@@ -376,16 +366,6 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
     /// used by serving code to report hit rates per cache shard.
     pub fn tile_cache_stats_per_layer(&self) -> Vec<TileCacheStats> {
         self.caches.iter().map(TileCache::stats).collect()
-    }
-
-    /// Cumulative product-sparsity reuse counters over every readout layer
-    /// the backend executed through a cross-row reuse plan (see
-    /// `phi_core::phi_matmul_batch_reuse`). All-zero when the backend
-    /// never took the planned path — e.g. under `PHI_REUSE=off`, under
-    /// [`MetricsMode::FullSim`], or on a backend without the CPU readout
-    /// fast path. Shared across clones, like the tile caches.
-    pub fn reuse_stats(&self) -> ReuseStats {
-        *crate::sync::lock(&self.reuse)
     }
 
     /// Executes a batch of requests under the backend's default metrics
@@ -422,57 +402,14 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
         batch: &[InferenceRequest],
         metrics: MetricsMode,
     ) -> Result<BatchReport> {
-        if metrics == MetricsMode::FullSim && !self.backend.models_hardware() {
-            return Err(RuntimeError::MetricsUnavailable { backend: self.backend.name() });
-        }
-        let first = batch.first().ok_or(RuntimeError::EmptyBatch)?;
-        let rows = first.rows()?;
-        for request in batch {
-            request.validate(&self.model, rows)?;
-        }
-
-        let layers = self.model.layers();
-        let last = layers.len() - 1;
-        // Under FullSim every layer is decomposed and simulated. Under
-        // OutputsOnly a layer's decomposition is consumed by nothing
-        // unless it feeds a functional readout, so only layers with an
-        // observable product run — this, not just skipping the simulator,
-        // is what keeps accelerator bookkeeping off the outputs-only hot
-        // path.
-        let indexed: Vec<(usize, &CompiledLayer)> = layers
-            .iter()
-            .enumerate()
-            .filter(|&(l, layer)| {
-                metrics == MetricsMode::FullSim
-                    || (l == last && layer.pwp.is_some() && layer.weights.is_some())
-            })
-            .collect();
-        let outcomes: Vec<LayerOutcome> = indexed
+        let rows = self.validate_batch(batch, metrics)?;
+        let last = self.model.layers().len() - 1;
+        let outcomes: Vec<LayerOutcome> = self
+            .observable_layers(metrics)
             .into_par_iter()
             .map(|(l, layer)| self.run_layer(l, l == last, layer, batch, rows, metrics))
             .collect();
-
-        let mut requests: Vec<RequestResult> = (0..batch.len())
-            .map(|_| RequestResult { readout: None, cycles: 0.0, energy_j: 0.0 })
-            .collect();
-        let mut layer_reports = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            if let (Some(report), Some(shares)) = (outcome.report, outcome.shares) {
-                let total: f64 = shares.iter().sum();
-                let energy_j = report.energy.total_j();
-                for (b, share) in shares.iter().enumerate() {
-                    let frac = share / total;
-                    requests[b].cycles += report.cycles * frac;
-                    requests[b].energy_j += energy_j * frac;
-                }
-                layer_reports.push(report);
-            }
-            if let Some(readout) = outcome.readout {
-                for (b, request) in requests.iter_mut().enumerate() {
-                    request.readout = Some(readout.row_range(b * rows, (b + 1) * rows));
-                }
-            }
-        }
+        let (requests, layer_reports) = assemble_results(outcomes, batch.len(), rows);
         Ok(BatchReport { metrics, layer_reports, requests })
     }
 
@@ -576,61 +513,26 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
                 );
             }
         }
-        if metrics == MetricsMode::FullSim && !self.backend.models_hardware() {
-            return Err(RuntimeError::MetricsUnavailable { backend: self.backend.name() });
-        }
-        let first = frames.first().ok_or(RuntimeError::EmptyBatch)?;
-        let rows = first.rows()?;
-        for frame in frames {
-            frame.validate(&self.model, rows)?;
-        }
+        let rows = self.validate_batch(frames, metrics)?;
         for session in sessions {
             session.fix_rows(rows)?;
         }
-
-        let layers = self.model.layers();
-        let last = layers.len() - 1;
-        // The same observable-product pruning as the stateless path.
-        let indexed: Vec<(usize, &CompiledLayer)> = layers
-            .iter()
-            .enumerate()
-            .filter(|&(l, layer)| {
-                metrics == MetricsMode::FullSim
-                    || (l == last && layer.pwp.is_some() && layer.weights.is_some())
-            })
-            .collect();
-        let outcomes: Vec<(LayerOutcome, Vec<DeltaStats>)> = indexed
+        let last = self.model.layers().len() - 1;
+        let outcomes: Vec<(LayerOutcome, Vec<DeltaStats>)> = self
+            .observable_layers(metrics)
             .into_par_iter()
             .map(|(l, layer)| {
                 self.run_layer_stream(l, l == last, layer, frames, sessions, rows, metrics)
             })
             .collect();
-
-        let mut requests: Vec<RequestResult> = (0..frames.len())
-            .map(|_| RequestResult { readout: None, cycles: 0.0, energy_j: 0.0 })
-            .collect();
         let mut deltas = vec![DeltaStats::default(); frames.len()];
-        let mut layer_reports = Vec::with_capacity(outcomes.len());
-        for (outcome, frame_deltas) in outcomes {
+        let outcomes = outcomes.into_iter().map(|(outcome, frame_deltas)| {
             for (total, delta) in deltas.iter_mut().zip(&frame_deltas) {
                 total.merge(delta);
             }
-            if let (Some(report), Some(shares)) = (outcome.report, outcome.shares) {
-                let total: f64 = shares.iter().sum();
-                let energy_j = report.energy.total_j();
-                for (b, share) in shares.iter().enumerate() {
-                    let frac = share / total;
-                    requests[b].cycles += report.cycles * frac;
-                    requests[b].energy_j += energy_j * frac;
-                }
-                layer_reports.push(report);
-            }
-            if let Some(readout) = outcome.readout {
-                for (b, request) in requests.iter_mut().enumerate() {
-                    request.readout = Some(readout.row_range(b * rows, (b + 1) * rows));
-                }
-            }
-        }
+            outcome
+        });
+        let (requests, layer_reports) = assemble_results(outcomes, frames.len(), rows);
         for ((session, result), delta) in sessions.iter().zip(&requests).zip(deltas) {
             session.absorb(result.readout.as_ref(), delta);
         }
@@ -672,6 +574,41 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
         Ok(report.requests.pop().expect("batch of one yields one result"))
     }
 
+    /// The admission checks both batch paths share: the metrics mode must
+    /// be one the backend can honor, and the batch must be non-empty with
+    /// every request valid against the model at the first request's row
+    /// count, which is returned.
+    fn validate_batch(&self, batch: &[InferenceRequest], metrics: MetricsMode) -> Result<usize> {
+        if metrics == MetricsMode::FullSim && !self.backend.models_hardware() {
+            return Err(RuntimeError::MetricsUnavailable { backend: self.backend.name() });
+        }
+        let first = batch.first().ok_or(RuntimeError::EmptyBatch)?;
+        let rows = first.rows()?;
+        for request in batch {
+            request.validate(&self.model, rows)?;
+        }
+        Ok(rows)
+    }
+
+    /// The layers a batch under `metrics` executes, with their indices.
+    /// Under FullSim every layer is decomposed and simulated. Under
+    /// OutputsOnly a layer's decomposition is consumed by nothing unless
+    /// it feeds a functional readout, so only layers with an observable
+    /// product run — this, not just skipping the simulator, is what keeps
+    /// accelerator bookkeeping off the outputs-only hot path.
+    fn observable_layers(&self, metrics: MetricsMode) -> Vec<(usize, &CompiledLayer)> {
+        let layers = self.model.layers();
+        let last = layers.len() - 1;
+        layers
+            .iter()
+            .enumerate()
+            .filter(|&(l, layer)| {
+                metrics == MetricsMode::FullSim
+                    || (l == last && layer.pwp.is_some() && layer.weights.is_some())
+            })
+            .collect()
+    }
+
     /// Incrementally decomposes one layer of each streamed frame against
     /// its session's memo, splices the per-frame decompositions into one
     /// fused layer, and hands it to the backend.
@@ -686,10 +623,7 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
         rows: usize,
         metrics: MetricsMode,
     ) -> (LayerOutcome, Vec<DeltaStats>) {
-        let readout = match (&layer.pwp, &layer.weights) {
-            (Some(pwp), Some(weights)) if is_readout => Some(ReadoutPlan { pwp, weights }),
-            _ => None,
-        };
+        let readout = readout_plan(layer, is_readout);
         // Delta-sparse execution: in outputs-only mode a row the frame
         // left bit-identical has a bit-identical decomposition row, and
         // readout rows are a pure per-row function of the decomposition
@@ -749,18 +683,7 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
             let computed = if decomp.rows() == 0 {
                 None
             } else {
-                let work = LayerWork {
-                    decomp: &decomp,
-                    shape: layer.shape,
-                    row_scale: layer.total_rows() as f64 / rows as f64,
-                    name: &layer.name,
-                    readout,
-                };
-                let output = self.backend.run_layer(&work, metrics);
-                if let Some(stats) = output.reuse {
-                    crate::sync::lock(&self.reuse).merge(&stats);
-                }
-                output.readout
+                self.backend.run_layer(&layer_work(layer, &decomp, rows, readout), metrics).readout
             };
             let n = layer.shape.n;
             let mut data = vec![0f32; frames.len() * rows * n];
@@ -784,17 +707,7 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
             return (LayerOutcome { report: None, shares: None, readout: Some(full) }, deltas);
         }
 
-        let work = LayerWork {
-            decomp: &decomp,
-            shape: layer.shape,
-            row_scale: layer.total_rows() as f64 / rows as f64,
-            name: &layer.name,
-            readout,
-        };
-        let output = self.backend.run_layer(&work, metrics);
-        if let Some(stats) = output.reuse {
-            crate::sync::lock(&self.reuse).merge(&stats);
-        }
+        let output = self.backend.run_layer(&layer_work(layer, &decomp, rows, readout), metrics);
         let shares =
             output.report.is_some().then(|| attribution_shares(&decomp, frames.len(), rows));
         (LayerOutcome { report: output.report, shares, readout: output.readout }, deltas)
@@ -823,21 +736,8 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
         let decomp =
             decompose_cached(&stacked, &layer.patterns, &layer.match_index, &self.caches[l]);
         crate::sync::lock(&self.scratch).push(stacked.into_bits());
-        let readout = match (&layer.pwp, &layer.weights) {
-            (Some(pwp), Some(weights)) if is_readout => Some(ReadoutPlan { pwp, weights }),
-            _ => None,
-        };
-        let work = LayerWork {
-            decomp: &decomp,
-            shape: layer.shape,
-            row_scale: layer.total_rows() as f64 / rows as f64,
-            name: &layer.name,
-            readout,
-        };
+        let work = layer_work(layer, &decomp, rows, readout_plan(layer, is_readout));
         let output = self.backend.run_layer(&work, metrics);
-        if let Some(stats) = output.reuse {
-            crate::sync::lock(&self.reuse).merge(&stats);
-        }
         let shares =
             output.report.is_some().then(|| attribution_shares(&decomp, batch.len(), rows));
         LayerOutcome { report: output.report, shares, readout: output.readout }
@@ -847,6 +747,64 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
 /// One fresh [`TileCache`] per model layer.
 fn build_caches(model: &CompiledModel, capacity: usize) -> Arc<Vec<TileCache>> {
     Arc::new(model.layers().iter().map(|_| TileCache::new(capacity)).collect())
+}
+
+/// The readout half of a layer's work: present only on the readout layer
+/// of an artifact that carries its products and weights.
+fn readout_plan(layer: &CompiledLayer, is_readout: bool) -> Option<ReadoutPlan<'_>> {
+    match (&layer.pwp, &layer.weights) {
+        (Some(pwp), Some(weights)) if is_readout => Some(ReadoutPlan { pwp, weights }),
+        _ => None,
+    }
+}
+
+/// The backend's view of one fused layer of a batch of `rows`-row
+/// requests.
+fn layer_work<'a>(
+    layer: &'a CompiledLayer,
+    decomp: &'a Decomposition,
+    rows: usize,
+    readout: Option<ReadoutPlan<'a>>,
+) -> LayerWork<'a> {
+    LayerWork {
+        decomp,
+        shape: layer.shape,
+        row_scale: layer.total_rows() as f64 / rows as f64,
+        name: &layer.name,
+        readout,
+    }
+}
+
+/// Folds per-layer outcomes into per-request results: each simulated
+/// layer's cycles and energy are split across the batch by its
+/// attribution shares, and the readout layer's rows are sliced out per
+/// request. Returns the results and the layer reports, in layer order.
+fn assemble_results(
+    outcomes: impl IntoIterator<Item = LayerOutcome>,
+    batch: usize,
+    rows: usize,
+) -> (Vec<RequestResult>, Vec<LayerReport>) {
+    let mut requests: Vec<RequestResult> =
+        (0..batch).map(|_| RequestResult { readout: None, cycles: 0.0, energy_j: 0.0 }).collect();
+    let mut layer_reports = Vec::new();
+    for outcome in outcomes {
+        if let (Some(report), Some(shares)) = (outcome.report, outcome.shares) {
+            let total: f64 = shares.iter().sum();
+            let energy_j = report.energy.total_j();
+            for (b, share) in shares.iter().enumerate() {
+                let frac = share / total;
+                requests[b].cycles += report.cycles * frac;
+                requests[b].energy_j += energy_j * frac;
+            }
+            layer_reports.push(report);
+        }
+        if let Some(readout) = outcome.readout {
+            for (b, request) in requests.iter_mut().enumerate() {
+                request.readout = Some(readout.row_range(b * rows, (b + 1) * rows));
+            }
+        }
+    }
+    (requests, layer_reports)
 }
 
 /// Attribution proxy per request: scanned rows plus Level-1 accumulations
@@ -931,29 +889,6 @@ mod tests {
         assert_eq!(fast.metrics, MetricsMode::OutputsOnly);
         assert!(fast.layer_reports.is_empty());
         assert!(fast.requests.iter().all(|r| r.cycles == 0.0 && r.energy_j == 0.0));
-    }
-
-    #[test]
-    fn cpu_executor_accumulates_reuse_stats() {
-        let w = tiny_workload();
-        let model = Arc::new(ModelCompiler::new(CompileOptions::fast()).compile(&w));
-        let sim = BatchExecutor::new(Arc::clone(&model));
-        let cpu = BatchExecutor::cpu(model);
-        let batch = requests(&w, 5, 17);
-        let prev = phi_core::force_reuse(phi_core::ReuseMode::Auto);
-        let fast = cpu.execute(&batch).unwrap();
-        let full = sim.execute(&batch).unwrap();
-        phi_core::force_reuse(prev);
-        assert!(readouts_identical(&fast, &full));
-        // Every fused readout row went through a reuse plan: 5 requests
-        // of 4 rows each, and the counters persist on the executor.
-        let stats = cpu.reuse_stats();
-        assert_eq!(stats.rows, 20);
-        assert!(stats.term_rows_total >= stats.term_rows_computed);
-        // The sim backend never takes the planned readout path.
-        assert_eq!(sim.reuse_stats(), phi_core::ReuseStats::default());
-        // Clones share the accumulator, like the tile caches.
-        assert_eq!(cpu.clone().reuse_stats(), stats);
     }
 
     #[test]

@@ -135,7 +135,7 @@ use crate::lifecycle::{
 use crate::stream::StreamSession;
 use crate::sync::{lock, read, write};
 use phi_accel::{BackendKind, ExecutionBackend};
-use phi_core::{DeltaStats, ReuseStats, TileCacheStats};
+use phi_core::{DeltaStats, TileCacheStats};
 use snn_core::Matrix;
 use std::collections::{HashMap, VecDeque};
 use std::num::NonZeroUsize;
@@ -630,11 +630,6 @@ pub struct ModelStatsSnapshot {
     /// [`TileCacheMode::PerWorker`] — so shard balance and per-worker
     /// warmup are observable, not just the aggregate.
     pub tile_cache_shards: Vec<TileCacheStats>,
-    /// Cross-row product-sparsity reuse counters of this model's
-    /// executors, aggregated over every shard (all zeros when the CPU
-    /// reuse pass is disabled via `PHI_REUSE=off` or the backend never
-    /// took the planned readout path).
-    pub reuse: ReuseStats,
     /// Live streaming sessions this model currently holds (open, not yet
     /// closed or expired).
     pub sessions_open: usize,
@@ -725,7 +720,6 @@ impl ModelStats {
         &self,
         tile_cache: TileCacheStats,
         tile_cache_shards: Vec<TileCacheStats>,
-        reuse: ReuseStats,
         sessions_open: usize,
     ) -> ModelStatsSnapshot {
         // `served` before `batches` — see `record_batch`.
@@ -747,7 +741,6 @@ impl ModelStats {
             p99_exec_us: exec.percentile(99.0),
             tile_cache,
             tile_cache_shards,
-            reuse,
             sessions_open,
             stream_frames: self.stream_frames.load(Ordering::Relaxed),
             stream_delta: *lock(&self.stream_delta),
@@ -1660,18 +1653,16 @@ impl PhiServer {
     /// unknown key.
     pub fn stats(&self, key: &str) -> Option<ModelStatsSnapshot> {
         self.slots.get(key).map(|slot| {
-            // Cache/reuse counters come from the *active* version's
+            // Cache counters come from the *active* version's
             // executors; the admission/latency counters live on the slot
             // and span every version.
             let active = slot.active_entry();
             let shards: Vec<TileCacheStats> =
                 active.executors.iter().map(BatchExecutor::tile_cache_stats).collect();
-            let reuse = ReuseStats::merged(active.executors.iter().map(BatchExecutor::reuse_stats));
             let sessions_open = lock(&slot.sessions).len();
             slot.stats.snapshot(
                 TileCacheStats::merged(shards.iter().copied()),
                 shards,
-                reuse,
                 sessions_open,
             )
         })
