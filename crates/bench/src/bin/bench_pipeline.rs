@@ -29,7 +29,9 @@
 //! Run with `cargo run --release -p phi_bench --bin bench_pipeline`.
 //! Environment knobs:
 //!
-//! * `PHI_BENCH_RUNS` — repetition count (default 5; fastest run reported).
+//! * `PHI_BENCH_RUNS` — repetition count (default 5; fastest run reported
+//!   per track, and each floor-checked ratio gated on the median of its
+//!   per-round ratios, with min/median/max recorded).
 //! * `PHI_TILE_CACHE` — per-layer tile-cache capacity for the warm track
 //!   (0 disables the cache, which also skips the warm-speedup floor).
 //! * `PHI_PIPELINE_MIN_WARM_SPEEDUP` — floor for warm (cached) vs cold
@@ -48,7 +50,7 @@
 //!   at.
 
 use phi_accel::{CpuBackend, ExecutionBackend, LayerWork, MetricsMode, ReadoutPlan};
-use phi_bench::{bench_runs, env_f64};
+use phi_bench::{bench_runs, env_f64, median_f64};
 use phi_core::{
     decompose, decompose_cached, decompose_indexed, simd, total_distance, CalibrationConfig,
     CalibrationEngine, Calibrator, LayerMatchIndex, PwpTable, TileCache, TileCacheStats,
@@ -95,24 +97,66 @@ fn time_runs(runs: usize, mut f: impl FnMut()) -> Duration {
 }
 
 /// Times several variants round-robin — variant 0, 1, …, then variant 0
-/// again — taking each variant's fastest repetition. Variants whose
-/// *ratio* is floor-checked (warm vs cold, SIMD vs scalar) must sample
-/// the same interference epochs, or background-load drift between two
-/// separately-timed phases shows up as a phantom speedup or regression.
-fn time_interleaved(runs: usize, fs: &mut [&mut dyn FnMut()]) -> Vec<Duration> {
+/// again — returning every round's time per variant (`times[variant]
+/// [round]`, at least one round). Variants whose *ratio* is floor-checked
+/// (cold vs linear, warm vs cold, SIMD vs scalar) must sample the same
+/// interference epochs, or background-load drift between two
+/// separately-timed phases shows up as a phantom speedup or regression;
+/// [`PairedRatio`] then takes the ratio within each round.
+fn time_interleaved(runs: usize, fs: &mut [&mut dyn FnMut()]) -> Vec<Vec<Duration>> {
     for f in fs.iter_mut() {
         f(); // warm-up
     }
-    let mut mins = vec![Duration::MAX; fs.len()];
-    for _ in 0..runs {
-        for (min, f) in mins.iter_mut().zip(fs.iter_mut()) {
+    let mut times = vec![Vec::with_capacity(runs); fs.len()];
+    for _ in 0..runs.max(1) {
+        for (times, f) in times.iter_mut().zip(fs.iter_mut()) {
             let start = Instant::now();
             f();
-            let elapsed = start.elapsed();
-            *min = (*min).min(elapsed);
+            times.push(start.elapsed());
         }
     }
-    mins
+    times
+}
+
+/// The fastest of a variant's rounds (its reported wall-clock).
+fn fastest(times: &[Duration]) -> Duration {
+    times.iter().copied().min().unwrap_or_default()
+}
+
+/// One floor-checked ratio `num / den` over interleaved rounds: the
+/// ratio is taken within each round (both sides ran back to back, so
+/// load drift between rounds cancels) and the floor gates the median
+/// round, so a single interfered round can neither fail nor pass it.
+#[derive(Clone, Copy)]
+struct PairedRatio {
+    min: f64,
+    median: f64,
+    max: f64,
+}
+
+impl PairedRatio {
+    fn new(num: &[Duration], den: &[Duration]) -> Self {
+        let ratios: Vec<f64> =
+            num.iter().zip(den).map(|(n, d)| n.as_secs_f64() / d.as_secs_f64()).collect();
+        PairedRatio {
+            min: ratios.iter().copied().fold(f64::INFINITY, f64::min),
+            median: median_f64(ratios.clone()),
+            max: ratios.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            r#"{{ "min": {:.3}, "median": {:.3}, "max": {:.3} }}"#,
+            self.min, self.median, self.max
+        )
+    }
+}
+
+impl std::fmt::Display for PairedRatio {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:.2}x (rounds {:.2}-{:.2}x)", self.median, self.min, self.max)
+    }
 }
 
 /// The summed clustering objective over every layer × partition, computed
@@ -281,10 +325,14 @@ fn main() {
         variants.push(&mut run_cold_scalar);
     }
     let times = time_interleaved(runs, &mut variants);
-    let (decompose_time, cold_time, warm_time) = (times[0], times[1], times[2]);
-    let scalar_cold = scalar_ab.then(|| times[3]);
+    let (decompose_time, cold_time, warm_time) =
+        (fastest(&times[0]), fastest(&times[1]), fastest(&times[2]));
+    let cold_ratio = PairedRatio::new(&times[1], &times[0]);
+    let warm_speedup = PairedRatio::new(&times[1], &times[2]);
+    let scalar_cold =
+        scalar_ab.then(|| (fastest(&times[3]), PairedRatio::new(&times[3], &times[1])));
     println!("decomposition (linear): {decompose_time:?}");
-    println!("decomposition (indexed, cold): {cold_time:?}");
+    println!("decomposition (indexed, cold): {cold_time:?} (vs linear: {cold_ratio})");
     let mut cache_stats = TileCacheStats::default();
     for cache in &caches {
         cache_stats.merge(&cache.stats());
@@ -295,8 +343,7 @@ fn main() {
         cache_stats.entries,
         cache_stats.evictions
     );
-    let warm_speedup = cold_time.as_secs_f64() / warm_time.as_secs_f64();
-    println!("warm vs cold: {warm_speedup:.2}x");
+    println!("warm vs cold: {warm_speedup}");
 
     // Bit-identity across all three matcher paths, per layer, warm cache
     // included — the correctness invariant of the whole accelerator.
@@ -380,12 +427,13 @@ fn main() {
     }
     // The SIMD-vs-scalar execution ratio gates an acceptance floor and
     // both sides swing several ms with slow-timescale machine noise; a
-    // handful of extra repetitions (each tens of ms) makes the
-    // min-of-runs estimate stable where the default count is not.
+    // handful of extra rounds (each tens of ms) makes the median
+    // per-round ratio stable where the default count is not.
     let times = time_interleaved(runs.max(9), &mut variants);
-    let cpu_execute_time = times[0];
-    let cpu_batch64_time = times[1];
-    let scalar_execute = scalar_ab.then(|| times[2]);
+    let cpu_execute_time = fastest(&times[0]);
+    let cpu_batch64_time = fastest(&times[1]);
+    let scalar_execute =
+        scalar_ab.then(|| (fastest(&times[2]), PairedRatio::new(&times[2], &times[0])));
     println!("functional execution (cpu backend, full workload): {cpu_execute_time:?}");
     println!("functional execution (cpu backend, fused batch-64): {cpu_batch64_time:?}");
 
@@ -395,8 +443,9 @@ fn main() {
     // from the interleaved passes above).
     println!("simd dispatch: {simd_level}");
     let simd_ab = scalar_ab.then(|| {
-        let scalar_cold = scalar_cold.expect("timed when dispatch is non-scalar");
-        let scalar_execute = scalar_execute.expect("timed when dispatch is non-scalar");
+        let (scalar_cold, dec_speedup) = scalar_cold.expect("timed when dispatch is non-scalar");
+        let (scalar_execute, exe_speedup) =
+            scalar_execute.expect("timed when dispatch is non-scalar");
         println!("checking forced-scalar bit-identity (decompose cold + cpu execute)...");
         let prev = simd::force(simd::SimdLevel::Scalar);
         let scalar_decomps: Vec<_> = workload
@@ -450,11 +499,9 @@ fn main() {
             })
             .collect();
         let identical = scalar_decomps == simd_decomps && scalar_readouts == simd_readouts;
-        let dec_speedup = scalar_cold.as_secs_f64() / cold_time.as_secs_f64();
-        let exe_speedup = scalar_execute.as_secs_f64() / cpu_execute_time.as_secs_f64();
         println!(
-            "scalar decompose cold: {scalar_cold:?} ({dec_speedup:.2}x), scalar cpu execute: \
-             {scalar_execute:?} ({exe_speedup:.2}x), bit-identical: {identical}"
+            "scalar decompose cold: {scalar_cold:?} ({dec_speedup}), scalar cpu execute: \
+             {scalar_execute:?} ({exe_speedup}), bit-identical: {identical}"
         );
         (scalar_cold, scalar_execute, dec_speedup, exe_speedup, identical)
     });
@@ -464,13 +511,13 @@ fn main() {
             r#"{{
     "decompose_indexed_cold_ms": {sc:.3},
     "cpu_execute_ms": {se:.3},
-    "speedup": {{ "decompose_cold": {sd:.3}, "cpu_execute": {sx:.3} }},
+    "speedup": {{ "decompose_cold": {sd}, "cpu_execute": {sx} }},
     "bit_identical": {identical}
   }}"#,
             sc = scalar_cold.as_secs_f64() * 1e3,
             se = scalar_execute.as_secs_f64() * 1e3,
-            sd = dec_speedup,
-            sx = exe_speedup,
+            sd = dec_speedup.json(),
+            sx = exe_speedup.json(),
         ),
         None => "null".to_string(),
     };
@@ -485,8 +532,9 @@ fn main() {
   "iterated_q32": {iterated},
   "decompose_ms": {dec_ms:.3},
   "decompose_indexed_cold_ms": {cold_ms:.3},
+  "decompose_cold_ratio": {cold_ratio},
   "decompose_cached_warm_ms": {warm_ms:.3},
-  "decompose_warm_speedup": {warm_speedup:.3},
+  "decompose_warm_speedup": {warm_speedup},
   "tile_cache": {{
     "capacity": {cache_capacity},
     "hits": {cache_hits},
@@ -508,6 +556,8 @@ fn main() {
         dec_ms = decompose_time.as_secs_f64() * 1e3,
         cold_ms = cold_time.as_secs_f64() * 1e3,
         warm_ms = warm_time.as_secs_f64() * 1e3,
+        cold_ratio = cold_ratio.json(),
+        warm_speedup = warm_speedup.json(),
         cache_hits = cache_stats.hits,
         cache_misses = cache_stats.misses,
         cache_evictions = cache_stats.evictions,
@@ -546,11 +596,10 @@ fn main() {
     // probe (the inexact fallback) regressed.
     let max_cold_ratio = env_f64("PHI_PIPELINE_MAX_COLD_RATIO", 1.3);
     if max_cold_ratio > 0.0 {
-        let ratio = cold_time.as_secs_f64() / decompose_time.as_secs_f64();
         assert!(
-            ratio <= max_cold_ratio,
+            cold_ratio.median <= max_cold_ratio,
             "indexed cold decompose ({cold_time:?}) must not be slower than {max_cold_ratio}x \
-             the linear reference ({decompose_time:?}), got {ratio:.2}x"
+             the linear reference ({decompose_time:?}), got {cold_ratio}"
         );
     }
     // The warm floor guards that the tile cache still pays for itself,
@@ -562,9 +611,9 @@ fn main() {
     let min_warm_speedup = env_f64("PHI_PIPELINE_MIN_WARM_SPEEDUP", 1.25);
     if cache_capacity > 0 {
         assert!(
-            warm_speedup >= min_warm_speedup,
+            warm_speedup.median >= min_warm_speedup,
             "warm cached decompose ({warm_time:?}) must be at least {min_warm_speedup}x faster \
-             than cold ({cold_time:?}), got {warm_speedup:.2}x"
+             than cold ({cold_time:?}), got {warm_speedup}"
         );
     } else {
         println!("PHI_TILE_CACHE=0: warm-speedup floor skipped (cache disabled)");
@@ -582,14 +631,14 @@ fn main() {
             let min_simd = env_f64("PHI_PIPELINE_MIN_SIMD_SPEEDUP", 1.1);
             if min_simd > 0.0 {
                 assert!(
-                    *dec_speedup >= min_simd,
+                    dec_speedup.median >= min_simd,
                     "SIMD ({simd_level}) cold decompose must be at least {min_simd}x the scalar \
-                     path, got {dec_speedup:.2}x"
+                     path, got {dec_speedup}"
                 );
                 assert!(
-                    *exe_speedup >= min_simd,
+                    exe_speedup.median >= min_simd,
                     "SIMD ({simd_level}) cpu execute must be at least {min_simd}x the scalar \
-                     path, got {exe_speedup:.2}x"
+                     path, got {exe_speedup}"
                 );
             }
         }

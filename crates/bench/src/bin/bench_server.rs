@@ -29,13 +29,8 @@
 //!   and blocks on its [`ResponseHandle`]: the collector coalesces the
 //!   concurrent requests into fused executor batches automatically.
 //!
-//! On top of the closed-loop sweep, the run measures the scaling knobs
-//! PR 7 added to the server:
+//! On top of the closed-loop sweep, the run measures:
 //!
-//! * **intake head-to-head** — the 16-client closed-loop track served by
-//!   the single-mutex intake ([`IntakeMode::Mutex`]) vs the sharded
-//!   intake ([`IntakeMode::Sharded`]), same traffic, same config
-//!   otherwise.
 //! * **multi-worker** — the 16-client track at `workers = 1` vs
 //!   `workers = N` (the core count, or `PHI_SERVER_WORKERS`). On a
 //!   multi-core host the multi-worker rate must beat the single-worker
@@ -43,9 +38,6 @@
 //!   on a single-core host the comparison still runs (scaling past the
 //!   core count cannot help, but must not corrupt) and the floor is
 //!   skipped.
-//! * **cache modes** — [`TileCacheMode::Shared`] vs
-//!   [`TileCacheMode::PerWorker`] at `workers ≥ 2`, reporting throughput
-//!   and the per-shard tile-cache hit rates.
 //! * **open loop** — a deterministic seeded Poisson arrival schedule
 //!   ([`ArrivalSchedule::poisson`]) replayed at offered loads of 0.5×,
 //!   0.8×, 0.95×, and 1.1× the measured closed-loop capacity. Closed-loop
@@ -70,7 +62,7 @@
 //! must be at least `PHI_SERVER_MIN_STREAM_SPEEDUP`×. Both streaming servers
 //! run with the tile cache disabled so the baseline is genuinely
 //! uncached re-decomposition rather than cache warmth (the cache is an
-//! orthogonal mechanism with its own tracks above). Every streamed readout
+//! orthogonal mechanism, on in every other track). Every streamed readout
 //! is asserted bit-identical to direct stateless execution — incremental
 //! decomposition changes cost, never bits.
 //!
@@ -103,8 +95,8 @@
 //! * `PHI_SERVER_MIN_WORKER_SPEEDUP` — floor for the multi-worker vs
 //!   1-worker throughput ratio, enforced only on multi-core hosts
 //!   (default 1.5; 0 disables).
-//! * `PHI_SERVER_WORKERS` — worker count of the multi-worker and
-//!   cache-mode comparisons (default: the core count, floored at 2).
+//! * `PHI_SERVER_WORKERS` — worker count of the multi-worker comparison
+//!   (default: the core count, floored at 2).
 //! * `PHI_SERVER_MIN_STREAM_SPEEDUP` — floor for the incremental-vs-full
 //!   streaming throughput ratio at δ = 0.1 (default 1.2; 0 disables).
 //! * `PHI_SERVER_MIN_DRIFT_RECOVERY` — floor for the post-recalibration
@@ -127,10 +119,6 @@
 //! [`BatchExecutor`]: phi_runtime::BatchExecutor
 //! [`BatchExecutor::execute_one`]: phi_runtime::BatchExecutor::execute_one
 //! [`ResponseHandle`]: phi_runtime::ResponseHandle
-//! [`IntakeMode::Mutex`]: phi_runtime::IntakeMode::Mutex
-//! [`IntakeMode::Sharded`]: phi_runtime::IntakeMode::Sharded
-//! [`TileCacheMode::Shared`]: phi_runtime::TileCacheMode::Shared
-//! [`TileCacheMode::PerWorker`]: phi_runtime::TileCacheMode::PerWorker
 //! [`ArrivalSchedule::poisson`]: phi_bench::openloop::ArrivalSchedule::poisson
 //! [`Workload::sample_client_requests`]: snn_workloads::Workload::sample_client_requests
 //! [`Workload::drifted`]: snn_workloads::Workload::drifted
@@ -140,8 +128,8 @@ use phi_bench::openloop::{ArrivalSchedule, LatencySummary};
 use phi_bench::{bench_runs, env_f64, median, median_f64};
 use phi_runtime::{
     available_cores, BatchExecutor, CompileOptions, CompiledModel, CpuBackend, InferenceRequest,
-    IntakeMode, LifecycleMode, ModelCompiler, ModelRegistry, ModelStatsSnapshot, PhiServer,
-    ResponseHandle, ServerConfig, ServerError, TileCacheMode, TolerancePolicy, PHI_LIFECYCLE_ENV,
+    LifecycleMode, ModelCompiler, ModelRegistry, ModelStatsSnapshot, PhiServer, ResponseHandle,
+    ServerConfig, ServerError, TolerancePolicy, PHI_LIFECYCLE_ENV,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -268,9 +256,8 @@ fn run_direct(
 }
 
 /// The server configuration every track derives from (tracks override
-/// `max_batch`, and the comparison sections override the knob they
-/// measure). Also the source of the config block recorded in
-/// `BENCH_server.json`.
+/// `max_batch`, and the multi-worker comparison overrides `workers`).
+/// Also the source of the config block recorded in `BENCH_server.json`.
 fn base_config() -> ServerConfig {
     ServerConfig::default().with_max_wait(MAX_WAIT)
 }
@@ -558,11 +545,6 @@ struct OpenLoopTrack {
     run: OpenLoopRun,
 }
 
-fn shards_json(shards: &[phi_core::TileCacheStats]) -> String {
-    let entries: Vec<String> = shards.iter().map(|s| format!("{:.6}", s.hit_rate())).collect();
-    format!("[{}]", entries.join(", "))
-}
-
 /// Per-client reference readouts for `traffic` on one executor.
 fn reference(direct: &BatchExecutor<CpuBackend>, traffic: &[Traffic]) -> Expected {
     traffic
@@ -801,41 +783,20 @@ fn main() {
     let (wide_traffic, wide_expected) = widest.expect("at least one track");
     let wide_clients = wide_traffic.len();
 
-    // ---- Intake head-to-head: single mutex vs sharded, same traffic ----
-    let intake_cfg = base_config().with_max_batch(wide_clients);
-    let (mutex_inf_s, _) = measure_server(
-        &model,
-        &wide_traffic,
-        &wide_expected,
-        intake_cfg.with_intake(IntakeMode::Mutex),
-        runs,
-    );
-    let (sharded_inf_s, _) = measure_server(
-        &model,
-        &wide_traffic,
-        &wide_expected,
-        intake_cfg.with_intake(IntakeMode::Sharded),
-        runs,
-    );
-    let intake_ratio = sharded_inf_s / mutex_inf_s;
-    println!(
-        "  intake @ {wide_clients} clients: mutex {mutex_inf_s:>9.1} inf/s | sharded \
-         {sharded_inf_s:>9.1} inf/s ({intake_ratio:.2}x)"
-    );
-
     // ---- Multi-worker: 1 worker vs the core count (or override) ----
+    let wide_cfg = base_config().with_max_batch(wide_clients);
     let workers_multi = std::env::var("PHI_SERVER_WORKERS")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&w: &usize| w >= 2)
         .unwrap_or_else(|| cores.max(2));
     let (single_inf_s, _) =
-        measure_server(&model, &wide_traffic, &wide_expected, intake_cfg.with_workers(1), runs);
+        measure_server(&model, &wide_traffic, &wide_expected, wide_cfg.with_workers(1), runs);
     let (multi_inf_s, _) = measure_server(
         &model,
         &wide_traffic,
         &wide_expected,
-        intake_cfg.with_workers(workers_multi),
+        wide_cfg.with_workers(workers_multi),
         runs,
     );
     let worker_speedup = multi_inf_s / single_inf_s;
@@ -846,46 +807,24 @@ fn main() {
     // skipped, matching the "on a multi-core host" acceptance wording.
     let worker_floor = env_f64("PHI_SERVER_MIN_WORKER_SPEEDUP", 1.5);
     let worker_floor_checked = cores >= 2 && worker_floor > 0.0;
+    let floor_note = if worker_floor <= 0.0 {
+        ", floor skipped: disabled by PHI_SERVER_MIN_WORKER_SPEEDUP"
+    } else if cores < 2 {
+        ", floor skipped: fewer than 2 cores"
+    } else {
+        ""
+    };
     println!(
         "  workers @ {wide_clients} clients: 1 -> {single_inf_s:>9.1} inf/s | {workers_multi} -> \
-         {multi_inf_s:>9.1} inf/s ({worker_speedup:.2}x{})",
-        if worker_floor_checked { "" } else { ", floor skipped: single-core host" }
-    );
-
-    // ---- Cache modes: shared vs per-worker tile caches ----
-    let cache_cfg = intake_cfg.with_workers(workers_multi);
-    let (shared_inf_s, shared_stats) = measure_server(
-        &model,
-        &wide_traffic,
-        &wide_expected,
-        cache_cfg.with_cache_mode(TileCacheMode::Shared),
-        runs,
-    );
-    let (per_worker_inf_s, per_worker_stats) = measure_server(
-        &model,
-        &wide_traffic,
-        &wide_expected,
-        cache_cfg.with_cache_mode(TileCacheMode::PerWorker),
-        runs,
-    );
-    println!(
-        "  caches @ {workers_multi} workers: shared {shared_inf_s:>9.1} inf/s (hit {:.1}%) | \
-         per-worker {per_worker_inf_s:>9.1} inf/s (hit {:.1}%, {} shards)",
-        100.0 * shared_stats.tile_cache.hit_rate(),
-        100.0 * per_worker_stats.tile_cache.hit_rate(),
-        per_worker_stats.tile_cache_shards.len(),
+         {multi_inf_s:>9.1} inf/s ({worker_speedup:.2}x{floor_note})"
     );
 
     // ---- Open loop: Poisson arrivals at fractions of capacity ----
     // Capacity is estimated from the best closed-loop server rate; the
     // open-loop tracks then offer fixed fractions of it, which makes the
     // 1.1x track a genuine overload no closed-loop client can produce.
-    let capacity = tracks
-        .iter()
-        .map(|t| t.server_inf_s)
-        .fold(f64::NEG_INFINITY, f64::max)
-        .max(sharded_inf_s)
-        .max(multi_inf_s);
+    let capacity =
+        tracks.iter().map(|t| t.server_inf_s).fold(f64::NEG_INFINITY, f64::max).max(multi_inf_s);
     let open_traffic: Vec<InferenceRequest> = workload
         .sample_client_requests(0xA5, open_loop_n, ROWS_PER_REQUEST, 0x5EED)
         .into_iter()
@@ -939,7 +878,7 @@ fn main() {
     // (with the cache on, temporally-correlated traffic is largely
     // memoized by the second run and the comparison measures cache
     // warmth, not incremental decomposition — the cache's own win is
-    // benchmarked separately above).
+    // benchmarked by bench_pipeline's warm-vs-cold track).
     let stream_cfg = base_config().with_max_batch(stream_sessions).with_tile_cache(0);
     let stream_total = (stream_sessions * stream_timesteps) as f64;
     let mut stream_tracks: Vec<StreamTrack> = Vec::new();
@@ -1221,10 +1160,7 @@ fn main() {
     "queue_capacity": {queue_capacity},
     "backend": "{backend}",
     "workers": {workers},
-    "tile_cache": {tile_cache},
-    "intake": "{intake}",
-    "intake_shards": {intake_shards},
-    "cache_mode": "{cache_mode}"
+    "tile_cache": {tile_cache}
   }},
   "runs": {runs},
   "threads": {threads},
@@ -1233,12 +1169,6 @@ fn main() {
   ],
   "direct_batch1_inf_per_s": {batch1_inf_s:.3},
   "headline": {{ "clients": {headline_clients}, "speedup_vs_direct_batch1": {speedup:.3} }},
-  "intake_comparison": {{
-    "clients": {wide_clients},
-    "mutex_inf_per_s": {mutex_inf_s:.3},
-    "sharded_inf_per_s": {sharded_inf_s:.3},
-    "sharded_over_mutex": {intake_ratio:.3}
-  }},
   "multi_worker": {{
     "workers_single": 1,
     "workers_multi": {workers_multi},
@@ -1247,11 +1177,6 @@ fn main() {
     "speedup": {worker_speedup:.3},
     "floor": {worker_floor},
     "floor_checked": {worker_floor_checked}
-  }},
-  "cache_modes": {{
-    "workers": {workers_multi},
-    "shared": {{ "inf_per_s": {shared_inf_s:.3}, "hit_rate": {shared_hit:.6}, "shard_hit_rates": {shared_shards} }},
-    "per_worker": {{ "inf_per_s": {per_worker_inf_s:.3}, "hit_rate": {per_worker_hit:.6}, "shard_hit_rates": {per_worker_shards} }}
   }},
   "open_loop": {{
     "requests": {open_loop_n},
@@ -1289,17 +1214,10 @@ fn main() {
         backend = base_config().backend,
         workers = base_config().workers,
         tile_cache = base_config().tile_cache,
-        intake = base_config().intake,
-        intake_shards = base_config().intake_shard_count(),
-        cache_mode = base_config().cache_mode,
         threads = cores,
         tracks = track_json.join(",\n"),
         open_tracks = open_track_json.join(",\n"),
         stream_tracks_json = stream_track_json.join(",\n"),
-        shared_hit = shared_stats.tile_cache.hit_rate(),
-        shared_shards = shards_json(&shared_stats.tile_cache_shards),
-        per_worker_hit = per_worker_stats.tile_cache.hit_rate(),
-        per_worker_shards = shards_json(&per_worker_stats.tile_cache_shards),
         fixed_fraction = fixed_load.offered_fraction,
         fixed_p50 = fixed_load.run.latency.p50_us,
         fixed_p99 = fixed_load.run.latency.p99_us,

@@ -1428,7 +1428,7 @@ impl TileCacheStats {
     }
 
     /// Sums a set of counters into one aggregate — the executor-level
-    /// (per-layer) and server-level (per-worker cache shard) rollup.
+    /// rollup over its per-layer caches.
     pub fn merged<I: IntoIterator<Item = TileCacheStats>>(stats: I) -> TileCacheStats {
         let mut total = TileCacheStats::default();
         for s in stats {

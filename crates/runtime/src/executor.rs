@@ -358,14 +358,7 @@ impl<B: ExecutionBackend> BatchExecutor<B> {
     /// Aggregated hit/miss/eviction counters over the per-layer tile
     /// caches (capacity and entries sum across layers).
     pub fn tile_cache_stats(&self) -> TileCacheStats {
-        TileCacheStats::merged(self.tile_cache_stats_per_layer())
-    }
-
-    /// Point-in-time counters of each per-layer tile cache, in layer
-    /// order — the fine-grained view behind [`Self::tile_cache_stats`],
-    /// used by serving code to report hit rates per cache shard.
-    pub fn tile_cache_stats_per_layer(&self) -> Vec<TileCacheStats> {
-        self.caches.iter().map(TileCache::stats).collect()
+        TileCacheStats::merged(self.caches.iter().map(TileCache::stats))
     }
 
     /// Executes a batch of requests under the backend's default metrics

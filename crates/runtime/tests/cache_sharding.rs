@@ -1,17 +1,16 @@
-//! Property tests pinning the tile-cache wiring modes to bit-identity.
+//! Property tests pinning the server's shared tile cache to bit-identity.
 //!
-//! The server's tile caches only ever change speed: across randomized
-//! cache capacities (including 0 = disabled and 1 = pure thrash), batch
-//! shapes, and worker counts, a [`TileCacheMode::PerWorker`] server, a
-//! [`TileCacheMode::Shared`] server, a cache-disabled server, and a
-//! direct uncached [`BatchExecutor`] must all produce the same readout
-//! bits for the same requests.
+//! The tile cache every worker of a server shares only ever changes
+//! speed: across randomized cache capacities (including 0 = disabled and
+//! 1 = pure thrash), batch shapes, and worker counts, a cached server, a
+//! cache-disabled server, and a direct uncached [`BatchExecutor`] must
+//! all produce the same readout bits for the same requests — cold or
+//! warm.
 
 mod common;
 
 use phi_runtime::{
     BatchExecutor, CompiledModel, InferenceRequest, ModelRegistry, PhiServer, ServerConfig,
-    TileCacheMode,
 };
 use proptest::prelude::*;
 use snn_core::Matrix;
@@ -25,26 +24,24 @@ fn fixture() -> &'static (snn_workloads::Workload, Arc<CompiledModel>) {
     FIXTURE.get_or_init(|| common::compiled(0xCACE))
 }
 
-/// Serves `traffic` through a fresh server in the given cache
-/// configuration and returns the readouts in submission order.
-fn serve(
-    model: &Arc<CompiledModel>,
-    traffic: &[InferenceRequest],
-    cache_mode: TileCacheMode,
-    tile_cache: usize,
-    workers: usize,
-) -> Vec<Option<Matrix>> {
+/// A fresh server over `model` with the given tile-cache capacity and
+/// worker count.
+fn start(model: &Arc<CompiledModel>, tile_cache: usize, workers: usize) -> PhiServer {
     let mut registry = ModelRegistry::new();
     registry.register("model", Arc::clone(model));
     let config = ServerConfig::default()
         .with_workers(workers)
         .with_max_batch(4)
         .with_max_wait(Duration::from_micros(100))
-        .with_cache_mode(cache_mode)
         .with_tile_cache(tile_cache);
-    let server = PhiServer::start(registry, config);
-    // Submit everything before waiting, so requests coalesce and the
-    // worker pool (not one request at a time) does the serving.
+    PhiServer::start(registry, config)
+}
+
+/// Serves `traffic` through `server` and returns the readouts in
+/// submission order. Everything is submitted before waiting, so requests
+/// coalesce and the worker pool (not one request at a time) does the
+/// serving.
+fn serve(server: &PhiServer, traffic: &[InferenceRequest]) -> Vec<Option<Matrix>> {
     let handles: Vec<_> =
         traffic.iter().map(|r| server.submit("model", r.clone()).expect("admitted")).collect();
     handles.into_iter().map(|h| h.wait().expect("served").readout).collect()
@@ -53,8 +50,8 @@ fn serve(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Per-worker caches == shared cache == disabled cache == direct
-    /// execution, bit for bit, across capacities, shapes, and workers.
+    /// Shared cache == disabled cache == direct execution, bit for bit,
+    /// across capacities, shapes, and workers.
     #[test]
     fn cache_wiring_is_invisible_in_readouts(
         capacity in prop::sample::select(vec![0usize, 1, 8, 1 << 12]),
@@ -64,7 +61,7 @@ proptest! {
     ) {
         let (w, model) = fixture();
         // Mixed row counts per case force several coalescing groups, so
-        // batches land on different workers (and different cache shards).
+        // batches land on different workers committing into one cache.
         let traffic: Vec<InferenceRequest> = row_choices
             .iter()
             .enumerate()
@@ -77,20 +74,18 @@ proptest! {
         let expected: Vec<Option<Matrix>> =
             traffic.iter().map(|r| direct.execute_one(r).expect("direct").readout).collect();
 
-        let per_worker = serve(model, &traffic, TileCacheMode::PerWorker, capacity, workers);
-        let shared = serve(model, &traffic, TileCacheMode::Shared, capacity, workers);
-        let disabled = serve(model, &traffic, TileCacheMode::Shared, 0, workers);
+        let shared = serve(&start(model, capacity, workers), &traffic);
+        let disabled = serve(&start(model, 0, workers), &traffic);
 
-        prop_assert_eq!(&per_worker, &expected, "per-worker caches diverged from direct");
         prop_assert_eq!(&shared, &expected, "shared cache diverged from direct");
         prop_assert_eq!(&disabled, &expected, "disabled cache diverged from direct");
     }
 
-    /// Replaying identical traffic twice through a per-worker-cached
-    /// server is still bit-identical (warm caches change nothing), and
-    /// the stats expose one cache shard per worker.
+    /// Replaying identical traffic twice through a multi-worker server is
+    /// still bit-identical, and the warm wave really replays the cold
+    /// wave's tile decisions from the shared cache.
     #[test]
-    fn warm_per_worker_caches_stay_bit_identical(
+    fn warm_shared_cache_stays_bit_identical(
         rows in 3usize..=6,
         count in 2usize..8,
         workers in 2usize..=3,
@@ -102,32 +97,21 @@ proptest! {
             .into_iter()
             .map(InferenceRequest::new)
             .collect();
-        let mut registry = ModelRegistry::new();
-        registry.register("model", Arc::clone(model));
-        let config = ServerConfig::default()
-            .with_workers(workers)
-            .with_max_batch(4)
-            .with_max_wait(Duration::from_micros(100))
-            .with_cache_mode(TileCacheMode::PerWorker)
-            .with_tile_cache(1 << 12);
-        let server = PhiServer::start(registry, config);
+        let server = start(model, 1 << 12, workers);
         let direct = BatchExecutor::cpu(Arc::clone(model)).with_tile_cache_capacity(0);
+        let expected: Vec<Option<Matrix>> =
+            traffic.iter().map(|r| direct.execute_one(r).expect("direct").readout).collect();
 
-        for wave in ["cold", "warm"] {
-            let handles: Vec<_> = traffic
-                .iter()
-                .map(|r| server.submit("model", r.clone()).expect("admitted"))
-                .collect();
-            let readouts: Vec<Option<Matrix>> =
-                handles.into_iter().map(|h| h.wait().expect("served").readout).collect();
-            for (request, readout) in traffic.iter().zip(&readouts) {
-                let expected = direct.execute_one(request).expect("direct").readout;
-                prop_assert_eq!(readout, &expected, "{} wave diverged", wave);
-            }
-        }
+        let cold = serve(&server, &traffic);
+        let hits_after_cold = server.stats("model").expect("registered").tile_cache.hits;
+        let warm = serve(&server, &traffic);
         let stats = server.stats("model").expect("registered");
-        prop_assert_eq!(stats.tile_cache_shards.len(), workers);
-        let merged = phi_core::TileCacheStats::merged(stats.tile_cache_shards.iter().copied());
-        prop_assert_eq!(merged, stats.tile_cache);
+        prop_assert_eq!(&cold, &expected, "cold wave diverged");
+        prop_assert_eq!(&warm, &expected, "warm wave diverged");
+        prop_assert!(
+            stats.tile_cache.hits > hits_after_cold,
+            "the warm wave must hit the shared cache: {:?}",
+            stats.tile_cache
+        );
     }
 }

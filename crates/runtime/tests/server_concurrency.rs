@@ -1,20 +1,20 @@
 //! Multi-worker stress suite for the serving front-end.
 //!
-//! The contract under test: however many workers race over however many
-//! intake shards, the server stays pure plumbing — every admitted
-//! request resolves with a readout bit-identical to direct execution,
-//! every refused request gets its typed error synchronously, shutdown
-//! under a live submit storm strands nothing, and the stats counters
-//! never tell an impossible story (a snapshot's `mean_batch` can never
-//! exceed `max_batch`, no matter how it interleaves with recording
+//! The contract under test: however many workers race over the intake
+//! queue and the shared tile caches, the server stays pure plumbing —
+//! every admitted request resolves with a readout bit-identical to direct
+//! execution, every refused request gets its typed error synchronously,
+//! shutdown under a live submit storm strands nothing, and the stats
+//! counters never tell an impossible story (a snapshot's `mean_batch` can
+//! never exceed `max_batch`, no matter how it interleaves with recording
 //! workers).
 
 mod common;
 
 use common::{compiled, requests};
 use phi_runtime::{
-    available_cores, BatchExecutor, IntakeMode, ModelRegistry, PhiServer, RuntimeError,
-    ServerConfig, ServerError,
+    available_cores, BatchExecutor, ModelRegistry, PhiServer, RuntimeError, ServerConfig,
+    ServerError,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,16 +23,32 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The randomized stress body: two hosted models, 12 submitter threads,
-/// and per-thread seeded traffic that interleaves well-formed requests
-/// (mixed row counts, so several coalescing groups stay live) with
-/// ragged, oversized, and unknown-key submissions. Every well-formed
+/// The traffic one stress run submits.
+#[derive(Clone, Copy)]
+struct Traffic {
+    /// Concurrent submitter threads.
+    threads: u64,
+    /// Submissions per thread.
+    iters: usize,
+    /// Whether ragged, oversized, and unknown-key submissions are mixed
+    /// in (3 in 10) and row counts are drawn per request from 3..=6.
+    /// Without them every submission is well-formed, each thread keeps
+    /// one row count (3 or 4, alternating by thread), and every
+    /// submission must serve.
+    malformed: bool,
+}
+
+/// 12 threads of interleaved well-formed and malformed traffic.
+const MIXED: Traffic = Traffic { threads: 12, iters: 24, malformed: true };
+/// 8 threads of well-formed traffic at 3 or 4 rows per thread.
+const WELL_FORMED: Traffic = Traffic { threads: 8, iters: 16, malformed: false };
+
+/// The randomized stress body: two hosted models and per-thread seeded
+/// `traffic` (several coalescing groups stay live). Every well-formed
 /// response is asserted bit-identical to direct execution; every
 /// malformed submission must fail synchronously with its typed error and
 /// never disturb the traffic batched around it.
-fn stress_bit_identity(workers: usize) {
-    const THREADS: u64 = 12;
-    const ITERS: usize = 24;
+fn stress_bit_identity(workers: usize, traffic: Traffic) {
     let (wa, ma) = compiled(30);
     let (wb, mb) = compiled(31);
     let direct_a = BatchExecutor::cpu(Arc::clone(&ma)).with_tile_cache_capacity(0);
@@ -44,29 +60,31 @@ fn stress_bit_identity(workers: usize) {
         .with_workers(workers)
         .with_max_batch(6)
         .with_max_wait(Duration::from_micros(100))
-        .with_max_request_rows(6)
-        .with_intake(IntakeMode::Sharded)
-        .with_intake_shards(4);
+        .with_max_request_rows(6);
     let server = PhiServer::start(registry, config);
 
     let served = AtomicU64::new(0);
     let rejected = AtomicU64::new(0);
     let unknown = AtomicU64::new(0);
     std::thread::scope(|scope| {
-        for t in 0..THREADS {
+        for t in 0..traffic.threads {
             let server = &server;
             let (wa, wb) = (&wa, &wb);
             let (direct_a, direct_b) = (&direct_a, &direct_b);
             let (served, rejected, unknown) = (&served, &rejected, &unknown);
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xC0FFEE ^ t);
-                for i in 0..ITERS {
+                for i in 0..traffic.iters {
                     let beta = rng.gen_bool(0.5);
                     let (key, w, direct) =
                         if beta { ("beta", wb, direct_b) } else { ("alpha", wa, direct_a) };
-                    let rows = rng.gen_range(3..=6usize);
                     let seed = (t << 32) ^ i as u64;
-                    match rng.gen_range(0..10u32) {
+                    let (rows, kind) = if traffic.malformed {
+                        (rng.gen_range(3..=6usize), rng.gen_range(0..10u32))
+                    } else {
+                        (3 + t as usize % 2, 9)
+                    };
+                    match kind {
                         0 => {
                             // Ragged: one layer with a mismatched row
                             // count must be refused at enqueue.
@@ -126,6 +144,10 @@ fn stress_bit_identity(workers: usize) {
     assert_eq!(alpha.rejected + beta.rejected, rejected.load(Ordering::Relaxed));
     assert_eq!(server.unknown_model_rejections(), unknown.load(Ordering::Relaxed));
     assert_eq!(alpha.failed + beta.failed, 0);
+    if !traffic.malformed {
+        let total = traffic.threads * traffic.iters as u64;
+        assert_eq!(alpha.served + beta.served, total, "well-formed traffic must all serve");
+    }
     for stats in [&alpha, &beta] {
         assert!(stats.batches <= stats.served, "batches cannot exceed requests");
         assert!(stats.mean_batch <= 6.0 + 1e-9, "mean batch above max_batch: {stats:?}");
@@ -134,17 +156,22 @@ fn stress_bit_identity(workers: usize) {
 
 #[test]
 fn stress_bit_identity_one_worker() {
-    stress_bit_identity(1);
+    stress_bit_identity(1, MIXED);
 }
 
 #[test]
 fn stress_bit_identity_two_workers() {
-    stress_bit_identity(2);
+    stress_bit_identity(2, MIXED);
 }
 
 #[test]
 fn stress_bit_identity_available_workers() {
-    stress_bit_identity(available_cores());
+    stress_bit_identity(available_cores(), MIXED);
+}
+
+#[test]
+fn stress_bit_identity_well_formed_two_workers() {
+    stress_bit_identity(2, WELL_FORMED);
 }
 
 /// Shutdown racing a live submit storm: every handle a submitter managed
@@ -268,45 +295,4 @@ fn stats_snapshots_never_report_impossible_mean_batch() {
     let stats = server.stats("model").unwrap();
     assert_eq!(stats.served, CLIENTS * PER_CLIENT as u64);
     assert!(stats.mean_batch <= MAX_BATCH as f64 + 1e-9);
-}
-
-/// Both intake modes must deliver the same contract under concurrency:
-/// the mutex baseline and the sharded path serve identical traffic with
-/// identical readouts (asserted against direct execution inside the
-/// stress body via the sharded run above; here the mutex mode gets the
-/// same treatment at 2 workers).
-#[test]
-fn mutex_intake_stress_matches_direct_execution() {
-    const THREADS: u64 = 8;
-    const PER_THREAD: usize = 16;
-    let (w, model) = compiled(60);
-    let direct = BatchExecutor::cpu(Arc::clone(&model)).with_tile_cache_capacity(0);
-    let mut registry = ModelRegistry::new();
-    registry.register("model", Arc::clone(&model));
-    let config = ServerConfig::default()
-        .with_workers(2)
-        .with_max_batch(8)
-        .with_max_wait(Duration::from_micros(100))
-        .with_intake(IntakeMode::Mutex);
-    let server = PhiServer::start(registry, config);
-    assert_eq!(server.config().intake_shard_count(), 1);
-
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let server = &server;
-            let direct = &direct;
-            let w = &w;
-            scope.spawn(move || {
-                let rows = 3 + (t as usize % 2);
-                for request in requests(w, PER_THREAD, rows, 0xD00D ^ t) {
-                    let expected = direct.execute_one(&request).unwrap().readout;
-                    let response = server.submit("model", request).unwrap().wait().unwrap();
-                    assert_eq!(response.readout, expected, "thread {t} diverged");
-                }
-            });
-        }
-    });
-    let stats = server.stats("model").unwrap();
-    assert_eq!(stats.served, THREADS * PER_THREAD as u64);
-    assert_eq!(stats.failed, 0);
 }

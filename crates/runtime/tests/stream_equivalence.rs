@@ -291,7 +291,7 @@ fn concurrent_session_storms_stay_ordered_and_isolated() {
 /// Satellite concurrency contract, part two: shutdown racing live
 /// streams. Every handle a submitter obtained must resolve — served
 /// readout or the typed [`ServerError::ShuttingDown`] — whether the
-/// frame was in a shard queue, parked behind its session's in-flight
+/// frame was in the intake queue, parked behind its session's in-flight
 /// frame, or mid-batch. Nothing may deadlock or strand.
 #[test]
 fn shutdown_mid_stream_resolves_every_streamed_handle() {
